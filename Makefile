@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race race-hot bench bench-smoke bench-json bench-compare figures determinism deprecations
+.PHONY: check build vet fmt test race race-hot bench bench-smoke bench-json bench-compare figures determinism deprecations fuzz-smoke perfbench-test
 
 ## check: the full gate — build, vet, formatting, the hot-path race
-## gate, the race-enabled test suite, the facade deprecation gate, and
-## the parallel-harness determinism gate.
-check: build vet fmt race-hot race deprecations determinism
+## gate, the race-enabled test suite, the facade deprecation gate, the
+## parallel-harness determinism gate, and the benchmark module's tests.
+check: build vet fmt race-hot race deprecations determinism perfbench-test
 
 ## deprecations: the public facade must stay free of deprecated API —
 ## PR 5 deleted the last // Deprecated: markers; this gate keeps new
@@ -41,6 +41,21 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+## perfbench-test: vet and test the benchmark module (perfbench/), a Go
+## module of its own that `go test ./...` at the root does not see but
+## that compiles against the root module's APIs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+## fuzz-smoke: run every fuzz target for a fixed short time, starting
+## from its committed seed corpus (testdata/fuzz/<target>). go test
+## fuzzes one target per invocation, hence one line per target.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test ./internal/tlssim -run '^$$' -fuzz '^FuzzParseClientHelloSNI$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tlssim -run '^$$' -fuzz '^FuzzServerHandshake$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pac -run '^$$' -fuzz '^FuzzHash32MatchesRenderedJS$$' -fuzztime $(FUZZTIME)
 
 race:
 	$(GO) test -race ./...

@@ -494,6 +494,10 @@ func StartDomestic(cfg DomesticConfig) (*DomesticProxy, error) {
 		// authenticate the peer, so deployment defaults to accepting the
 		// remote's certificate.
 		RemoteName: "remote.scholarcloud.example",
+		// Plain-HTTP channels resume sessions within their carrier. The
+		// simulator's worlds leave this off, so their figures keep one
+		// full handshake per plain stream.
+		ResumeChannels: true,
 	}
 	if cfg.CacheMB > 0 {
 		cc, err := cache.New(env, cache.Options{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -244,25 +245,11 @@ func TestRealSocketAdminEndpoints(t *testing.T) {
 	}
 	defer domestic.Close()
 
-	adminGet := func(addr net.Addr, path string) (*httpsim.Response, error) {
-		conn, err := net.DialTimeout("tcp", addr.String(), 5*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: admin\r\n\r\n", path)
-		return httpsim.ReadResponse(bufio.NewReader(conn))
-	}
-
 	for _, addr := range []net.Addr{remote.AdminAddr(), domestic.AdminAddr()} {
 		if addr == nil {
 			t.Fatal("AdminAddr() = nil with AdminListen configured")
 		}
-		resp, err := adminGet(addr, "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := adminGet(t, addr, "/healthz")
 		if resp.StatusCode != 200 || !strings.Contains(string(resp.Body), "ok") {
 			t.Errorf("healthz on %s = %d %q", addr, resp.StatusCode, resp.Body)
 		}
@@ -283,21 +270,14 @@ func TestRealSocketAdminEndpoints(t *testing.T) {
 	}
 	conn.Close()
 
-	resp, err := adminGet(domestic.AdminAddr(), "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(resp.Body)
+	body := string(adminGet(t, domestic.AdminAddr(), "/metrics").Body)
 	if !strings.Contains(body, "core.domestic.requests=1") {
 		t.Errorf("domestic /metrics missing request count:\n%s", body)
 	}
 	if !strings.Contains(body, "fleet.picks=1") {
 		t.Errorf("domestic /metrics missing fleet pick:\n%s", body)
 	}
-	resp, err = adminGet(remote.AdminAddr(), "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := adminGet(t, remote.AdminAddr(), "/metrics")
 	if !strings.Contains(string(resp.Body), "core.remote.streams_opened=1") {
 		t.Errorf("remote /metrics missing stream count:\n%s", resp.Body)
 	}
@@ -457,6 +437,114 @@ func TestRealSocketCoordinatedRotation(t *testing.T) {
 	if err := connectOnce(); err != nil {
 		t.Fatalf("epoch 1: %v", err)
 	}
+}
+
+// adminGet fetches path from an admin endpoint.
+func adminGet(t *testing.T, admin net.Addr, path string) *httpsim.Response {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", admin.String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: admin\r\n\r\n", path)
+	resp, err := httpsim.ReadResponse(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// metricsCounter reads one counter from an admin /metrics endpoint.
+func metricsCounter(t *testing.T, admin net.Addr, name string) int64 {
+	t.Helper()
+	resp := adminGet(t, admin, "/metrics")
+	for _, line := range strings.Split(string(resp.Body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+"="); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s missing from /metrics:\n%s", name, resp.Body)
+	return 0
+}
+
+// TestRealSocketChannelResumption drives sequential absolute-URI GETs,
+// each on a fresh browser connection, through a deployment with one
+// carrier. That carrier's first plain stream runs a full channel
+// handshake and every later one resumes its session, on both ends.
+// After Rotate recycles the carrier, the next stream runs a full
+// handshake again: sessions never outlive their carrier.
+func TestRealSocketChannelResumption(t *testing.T) {
+	origin := startOrigin(t, "resumable content")
+	originHost, _, _ := strings.Cut(origin, ":")
+	secret := []byte("resumption-secret")
+
+	remote, err := StartRemote(RemoteConfig{Listen: "127.0.0.1:0", AdminListen: "127.0.0.1:0", Secret: secret})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	const carriers = 1
+	domestic, err := StartDomestic(DomesticConfig{
+		ProxyListen:       "127.0.0.1:0",
+		WebListen:         "127.0.0.1:0",
+		AdminListen:       "127.0.0.1:0",
+		RemoteAddr:        remote.Addr().String(),
+		SessionsPerRemote: carriers,
+		Secret:            secret,
+		Whitelist:         []string{originHost},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer domestic.Close()
+
+	get := func(i int) {
+		t.Helper()
+		conn, err := net.DialTimeout("tcp", domestic.ProxyAddr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		fmt.Fprintf(conn, "GET http://%s/paper/%d HTTP/1.1\r\nHost: %s\r\n\r\n", origin, i, origin)
+		resp, err := httpsim.ReadResponse(bufio.NewReader(conn))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if resp.StatusCode != 200 || string(resp.Body) != "resumable content" {
+			t.Fatalf("request %d: %d %q", i, resp.StatusCode, resp.Body)
+		}
+	}
+	check := func(when string, full, resumed int64) {
+		t.Helper()
+		for _, side := range []struct {
+			name  string
+			admin net.Addr
+		}{{"domestic", domestic.AdminAddr()}, {"remote", remote.AdminAddr()}} {
+			f := metricsCounter(t, side.admin, "core."+side.name+".channel_full")
+			r := metricsCounter(t, side.admin, "core."+side.name+".channel_resumed")
+			if f != full || r != resumed {
+				t.Errorf("%s, %s: %d full + %d resumed handshakes, want %d + %d", when, side.name, f, r, full, resumed)
+			}
+		}
+	}
+
+	const requests = 20
+	for i := 0; i < requests; i++ {
+		get(i)
+	}
+	check("before rotation", carriers, requests-carriers)
+
+	remote.remote.SetEpoch(1)
+	domestic.Rotate(1)
+	get(requests)
+	check("after rotation", carriers+1, requests-carriers)
 }
 
 // TestRealSocketTransportLadder runs the domestic proxy with a carrier
@@ -977,31 +1065,21 @@ func TestRealSocketAutoscaledTier(t *testing.T) {
 		t.Fatalf("active shards at start = %v, want just shard 0", got)
 	}
 
-	adminGet := func(d *DomesticProxy, path string) string {
+	shardGet := func(d *DomesticProxy, path string) string {
 		t.Helper()
-		conn, err := net.DialTimeout("tcp", d.AdminAddr().String(), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: admin\r\n\r\n", path)
-		resp, err := httpsim.ReadResponse(bufio.NewReader(conn))
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := adminGet(t, d.AdminAddr(), path)
 		if resp.StatusCode != 200 {
 			t.Fatalf("GET %s = %d", path, resp.StatusCode)
 		}
 		return string(resp.Body)
 	}
-	metrics := adminGet(tier.Shards()[0], "/metrics")
+	metrics := shardGet(tier.Shards()[0], "/metrics")
 	for _, want := range []string{"shard.director.live=1", "shard.director.members=3", "autoscale.ticks=0"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	if got := adminGet(tier.Shards()[0], "/scale-events"); got != "no scale events\n" {
+	if got := shardGet(tier.Shards()[0], "/scale-events"); got != "no scale events\n" {
 		t.Errorf("/scale-events before any decision = %q", got)
 	}
 
@@ -1024,7 +1102,7 @@ func TestRealSocketAutoscaledTier(t *testing.T) {
 	if got := tier.Shards()[0].ShardAddrs(); len(got) != 3 {
 		t.Errorf("active shards after scale-up = %v, want all 3", got)
 	}
-	if got := adminGet(tier.Shards()[2], "/metrics"); !strings.Contains(got, "shard.director.live=3") {
+	if got := shardGet(tier.Shards()[2], "/metrics"); !strings.Contains(got, "shard.director.live=3") {
 		t.Errorf("joiner's /metrics does not show the full tier:\n%s", got)
 	}
 

@@ -37,7 +37,11 @@ type coreWorld struct {
 	ca        *pki.CA
 }
 
-func newCoreWorld(t *testing.T) *coreWorld {
+func newCoreWorld(t *testing.T) *coreWorld { return buildCoreWorld(t, false) }
+
+// buildCoreWorld is newCoreWorld with the domestic proxy's
+// ResumeChannels set as given.
+func buildCoreWorld(t *testing.T, resume bool) *coreWorld {
 	t.Helper()
 	n := netsim.New(71)
 	t.Cleanup(n.Stop)
@@ -117,12 +121,13 @@ func newCoreWorld(t *testing.T) *coreWorld {
 
 	w.whitelist = pac.New("101.6.6.6:8118", []string{"origin.example", "203.0.113.10"})
 	w.dom = &Domestic{
-		Env:          w.env,
-		DialRemote:   func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.7:8443") },
-		Secret:       secret,
-		Whitelist:    w.whitelist,
-		VerifyRemote: ca.Verifier(),
-		RemoteName:   "remote.scholarcloud.example",
+		Env:            w.env,
+		DialRemote:     func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.7:8443") },
+		Secret:         secret,
+		Whitelist:      w.whitelist,
+		VerifyRemote:   ca.Verifier(),
+		RemoteName:     "remote.scholarcloud.example",
+		ResumeChannels: resume,
 	}
 	pln, err := w.domestic.Listen("tcp", ":8118")
 	if err != nil {

@@ -74,6 +74,13 @@ type Domestic struct {
 	// instead of racing a second carrier of the same, possibly-blocked,
 	// transport. Empty or nil keeps hedges transport-agnostic.
 	NextTransport func() string
+	// ResumeChannels lets a plain-HTTP stream's encrypted channel resume
+	// the tlssim session of an earlier channel on the same carrier (the
+	// abbreviated handshake: one round trip, no X25519 exchange) instead
+	// of running a full handshake per stream. Sessions are kept per
+	// carrier and die with it. The client's offer decides: a Remote
+	// resumes whenever it is offered a session it issued on that carrier.
+	ResumeChannels bool
 
 	mu        sync.Mutex
 	sess      *mux.Session
@@ -82,10 +89,16 @@ type Domestic struct {
 	dialCond  netx.Cond // wakes session() callers parked behind dialing
 	dialFails int       // consecutive single-remote dial failures
 	nextDial  time.Time // reconnect backoff gate (zero = none)
+	// channels holds each carrier's channel-session cache (ResumeChannels).
+	channels map[*mux.Session]*tlssim.SessionCache
 
 	requests metrics.Counter
 	refused  metrics.Counter
 	streams  metrics.Counter
+
+	// Plain-HTTP channel handshakes, full and abbreviated.
+	chanFull    metrics.Counter
+	chanResumed metrics.Counter
 
 	// Resilience counters (zero unless Resil is set).
 	hedges       metrics.Counter
@@ -128,6 +141,8 @@ func (d *Domestic) Instrument(reg *obs.Registry) {
 	reg.RegisterCounter("core.domestic.requests", &d.requests)
 	reg.RegisterCounter("core.domestic.refused", &d.refused)
 	reg.RegisterCounter("core.domestic.streams", &d.streams)
+	reg.RegisterCounter("core.domestic.channel_full", &d.chanFull)
+	reg.RegisterCounter("core.domestic.channel_resumed", &d.chanResumed)
 	reg.RegisterCounter("core.domestic.hedges", &d.hedges)
 	reg.RegisterCounter("core.domestic.retries", &d.retries)
 	reg.RegisterCounter("core.domestic.deadline_hits", &d.deadlineHits)
@@ -248,16 +263,11 @@ func (d *Domestic) session() (*mux.Session, error) {
 	return d.sess, nil
 }
 
-// openStream opens a tunnel stream carrying meta, via the fleet pool
-// when one is configured, else via the cached single session.
-func (d *Domestic) openStream(meta []byte) (net.Conn, error) {
-	return d.openStreamVia("", meta)
-}
-
-// openStreamVia is openStream pinned to a carrier transport: a non-empty
-// via restricts the fleet pick to endpoints on that escalation rung (the
-// transport-aware hedge path). The single-session path has one carrier
-// and ignores via.
+// openStreamVia opens a tunnel stream carrying meta, via the fleet pool
+// when one is configured, else via the cached single session. A
+// non-empty via restricts the fleet pick to endpoints on that escalation
+// rung (the transport-aware hedge path); the single-session path has one
+// carrier and ignores via.
 func (d *Domestic) openStreamVia(via string, meta []byte) (net.Conn, error) {
 	if pool := d.Fleet; pool != nil {
 		var st net.Conn
@@ -310,6 +320,17 @@ func (d *Domestic) openPlain(target string) (net.Conn, error) {
 }
 
 func (d *Domestic) openPlainVia(via, target string) (net.Conn, error) {
+	tconn, err := d.openChannel(via, target)
+	if errors.Is(err, tlssim.ErrResumption) {
+		// The failed offer dropped the carrier's cached session, so the
+		// retry runs a full handshake: resumption never costs an error.
+		tconn, err = d.openChannel(via, target)
+	}
+	return tconn, err
+}
+
+// openChannel opens one plain stream and runs its channel handshake.
+func (d *Domestic) openChannel(via, target string) (net.Conn, error) {
 	st, err := d.openStreamVia(via, []byte(metaPlain+target))
 	if err != nil {
 		return nil, err
@@ -318,12 +339,48 @@ func (d *Domestic) openPlainVia(via, target string) (net.Conn, error) {
 		ServerName: d.RemoteName,
 		VerifyPeer: d.VerifyRemote,
 		Rand:       d.Env.Rand,
+		Sessions:   d.channelSessions(st),
 	})
 	if err := tconn.Handshake(); err != nil {
 		st.Close()
 		return nil, err
 	}
+	if tconn.Resumed() {
+		d.chanResumed.Inc()
+	} else {
+		d.chanFull.Inc()
+	}
 	return tconn, nil
+}
+
+// channelSessions returns the channel-session cache of the carrier st
+// rides, or nil when resumption is off. Creating a carrier's cache
+// prunes those of dead carriers.
+func (d *Domestic) channelSessions(st net.Conn) *tlssim.SessionCache {
+	if !d.ResumeChannels {
+		return nil
+	}
+	carried, ok := st.(interface{ Session() *mux.Session })
+	if !ok {
+		return nil
+	}
+	sess := carried.Session()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	sc := d.channels[sess]
+	if sc == nil {
+		for s := range d.channels {
+			if s.Err() != nil {
+				delete(d.channels, s)
+			}
+		}
+		if d.channels == nil {
+			d.channels = make(map[*mux.Session]*tlssim.SessionCache)
+		}
+		sc = tlssim.NewSessionCache(d.Env.Clock.Now)
+		d.channels[sess] = sc
+	}
+	return sc
 }
 
 // authorize implements the whitelist check.

@@ -67,6 +67,10 @@ type Remote struct {
 	opens metrics.Counter
 	dens  metrics.Counter
 
+	// Plain-HTTP channel handshakes, full and abbreviated.
+	chanFull    metrics.Counter
+	chanResumed metrics.Counter
+
 	flowTrace   atomic.Pointer[obs.Trace]
 	muxCounters atomic.Pointer[mux.Counters]
 }
@@ -88,6 +92,8 @@ func (r *Remote) Stats() RemoteStats {
 func (r *Remote) Instrument(reg *obs.Registry) {
 	reg.RegisterCounter("core.remote.streams_opened", &r.opens)
 	reg.RegisterCounter("core.remote.streams_denied", &r.dens)
+	reg.RegisterCounter("core.remote.channel_full", &r.chanFull)
+	reg.RegisterCounter("core.remote.channel_resumed", &r.chanResumed)
 	r.muxCounters.Store(&mux.Counters{
 		FramesIn:   reg.Counter("mux.remote.frames_in"),
 		FramesOut:  reg.Counter("mux.remote.frames_out"),
@@ -128,7 +134,13 @@ func (r *Remote) Serve(ln net.Listener) {
 			return
 		}
 		blinded := blinding.WrapConn(conn, r.scheme())
-		sess := mux.NewSession(blinded, r.Env, r.acceptStream)
+		// Channel sessions are scoped to the carrier: no other carrier
+		// (or remote) can resume them, and they die with it. The cache
+		// stays empty unless the domestic side offers resumption.
+		channels := tlssim.NewSessionCache(r.Env.Clock.Now)
+		sess := mux.NewSession(blinded, r.Env, func(meta []byte) (net.Conn, error) {
+			return r.acceptStream(meta, channels)
+		})
 		sess.SetCounters(r.muxCounters.Load())
 		r.mu.Lock()
 		// Prune dead carriers so the list tracks live peers only.
@@ -160,8 +172,9 @@ func (r *Remote) Close() {
 	}
 }
 
-// acceptStream handles one tunneled stream open.
-func (r *Remote) acceptStream(meta []byte) (net.Conn, error) {
+// acceptStream handles one tunneled stream open; channels is the
+// carrier's channel-session cache.
+func (r *Remote) acceptStream(meta []byte, channels *tlssim.SessionCache) (net.Conn, error) {
 	m := string(meta)
 	secure := strings.HasPrefix(m, metaSecure)
 	plain := strings.HasPrefix(m, metaPlain)
@@ -196,7 +209,11 @@ func (r *Remote) acceptStream(meta []byte) (net.Conn, error) {
 	// forwarding plaintext to the origin.
 	near, far := netx.Pipe(r.Env)
 	r.Env.Spawn.Go(func() {
-		tconn := tlssim.Server(far, tlssim.Config{Certificate: r.Identity.DER, Rand: r.Env.Rand})
+		tconn := tlssim.Server(far, tlssim.Config{
+			Certificate: r.Identity.DER,
+			Rand:        r.Env.Rand,
+			Sessions:    channels,
+		})
 		defer tconn.Close()
 		defer origin.Close()
 		r.Env.Spawn.Go(func() {
@@ -204,6 +221,15 @@ func (r *Remote) acceptStream(meta []byte) (net.Conn, error) {
 			tconn.Close()
 			origin.Close()
 		})
+		// The first Read would run the handshake here anyway; running it
+		// explicitly lets it be counted. A failure resurfaces from Read.
+		if tconn.Handshake() == nil {
+			if tconn.Resumed() {
+				r.chanResumed.Inc()
+			} else {
+				r.chanFull.Inc()
+			}
+		}
 		io.Copy(origin, tconn)
 		origin.Close()
 	})

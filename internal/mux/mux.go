@@ -492,6 +492,9 @@ type Stream struct {
 	ddTimer      netx.Timer
 }
 
+// Session returns the carrier session the stream rides.
+func (st *Stream) Session() *Session { return st.sess }
+
 // Read implements net.Conn.
 func (st *Stream) Read(b []byte) (int, error) {
 	s := st.sess

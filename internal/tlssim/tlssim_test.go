@@ -218,11 +218,7 @@ func TestSealOpenRoundTripProperty(t *testing.T) {
 		if len(data) == 0 || len(data) > MaxRecordPayload {
 			return true
 		}
-		sealed, err := client.seal(data)
-		if err != nil {
-			return false
-		}
-		opened, err := server.open(sealed)
+		opened, err := server.open(client.sealRecord(RecordApplication, data)[5:])
 		return err == nil && bytes.Equal(opened, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
