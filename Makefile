@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tlssim -run '^$$' -fuzz '^FuzzParseClientHelloSNI$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tlssim -run '^$$' -fuzz '^FuzzServerHandshake$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pac -run '^$$' -fuzz '^FuzzHash32MatchesRenderedJS$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mux -run '^$$' -fuzz '^FuzzSessionFrames$$' -fuzztime $(FUZZTIME)
 
 race:
 	$(GO) test -race ./...

@@ -97,42 +97,45 @@ func (t tableTransform) Apply(dst, src []byte) {
 // the same plaintext byte maps to different wire bytes at different
 // offsets, defeating frequency analysis of the mapping itself.
 type XORStream struct {
-	key []byte
+	key [sha256.Size]byte
 }
 
 // NewXORStream creates the scheme from key material.
 func NewXORStream(key []byte) *XORStream {
 	k := append([]byte("scholarcloud-xorstream:"), key...)
-	sum := sha256.Sum256(k)
-	return &XORStream{key: sum[:]}
+	return &XORStream{key: sha256.Sum256(k)}
 }
 
 // Name implements Scheme.
 func (x *XORStream) Name() string { return "xorstream" }
 
 // NewEncoder implements Scheme.
-func (x *XORStream) NewEncoder() Transform { return &xorState{key: x.key} }
+func (x *XORStream) NewEncoder() Transform { return newXORState(x.key) }
 
 // NewDecoder implements Scheme. XOR is an involution, so the decoder is
 // identical to the encoder.
-func (x *XORStream) NewDecoder() Transform { return &xorState{key: x.key} }
+func (x *XORStream) NewDecoder() Transform { return newXORState(x.key) }
 
 type xorState struct {
-	key    []byte
+	// seed is key || blockIndex: the hash input of the next keystream
+	// block, kept here so a block costs one SHA-256 and no allocation.
+	seed   [sha256.Size + 8]byte
 	offset uint64
-	block  [32]byte
+	block  [sha256.Size]byte
 	have   int // bytes of block remaining
+}
+
+func newXORState(key [sha256.Size]byte) *xorState {
+	s := &xorState{}
+	copy(s.seed[:], key[:])
+	return s
 }
 
 func (s *xorState) Apply(dst, src []byte) {
 	for i := range src {
 		if s.have == 0 {
-			var ctr [8]byte
-			binary.BigEndian.PutUint64(ctr[:], s.offset/32)
-			h := sha256.New()
-			h.Write(s.key)
-			h.Write(ctr[:])
-			copy(s.block[:], h.Sum(nil))
+			binary.BigEndian.PutUint64(s.seed[sha256.Size:], s.offset/32)
+			s.block = sha256.Sum256(s.seed[:])
 			s.have = 32
 		}
 		dst[i] = src[i] ^ s.block[32-s.have]

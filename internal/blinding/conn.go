@@ -5,10 +5,15 @@ import "net"
 // Conn applies a blinding scheme to a connection: writes are encoded,
 // reads are decoded. Both ScholarCloud proxies wrap their inter-proxy
 // connections with it.
+//
+// Write expects one writer at a time: it encodes into a scratch buffer
+// the connection owns, and the encoder's stream position is per
+// connection anyway. The mux session over it serializes its frames.
 type Conn struct {
 	net.Conn
-	enc Transform
-	dec Transform
+	enc  Transform
+	dec  Transform
+	wbuf []byte // Write's encoding scratch
 }
 
 // WrapConn blinds conn with scheme. The returned connection is used in
@@ -28,8 +33,12 @@ func (c *Conn) Read(b []byte) (int, error) {
 
 // Write implements net.Conn, encoding sent bytes.
 func (c *Conn) Write(b []byte) (int, error) {
-	// Encode into a scratch buffer so the caller's slice is untouched.
-	out := make([]byte, len(b))
+	// Encode into the scratch buffer so the caller's slice is untouched.
+	// The wrapped connection must not retain it past Write.
+	if cap(c.wbuf) < len(b) {
+		c.wbuf = make([]byte, len(b))
+	}
+	out := c.wbuf[:len(b)]
 	c.enc.Apply(out, b)
 	return c.Conn.Write(out)
 }

@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -217,7 +216,7 @@ func (r *Remote) acceptStream(meta []byte, channels *tlssim.SessionCache) (net.C
 		defer tconn.Close()
 		defer origin.Close()
 		r.Env.Spawn.Go(func() {
-			io.Copy(tconn, origin)
+			netx.Copy(tconn, origin)
 			tconn.Close()
 			origin.Close()
 		})
@@ -230,7 +229,7 @@ func (r *Remote) acceptStream(meta []byte, channels *tlssim.SessionCache) (net.C
 				r.chanFull.Inc()
 			}
 		}
-		io.Copy(origin, tconn)
+		netx.Copy(origin, tconn)
 		origin.Close()
 	})
 	return near, nil

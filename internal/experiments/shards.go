@@ -268,31 +268,6 @@ func shardKillSection(res *ShardKillResult) string {
 	return b.String()
 }
 
-// ReportShards renders the sharded-tier experiment sequentially: the
-// 1/2/4/8-shard sweep at a fixed load, then the shard-seizure episode.
-func ReportShards(seed uint64, q Quality) (string, error) {
-	var b strings.Builder
-	b.WriteString(shardsTitle)
-	b.WriteString(shardsHeaderRow())
-	for _, k := range shardSweepCounts {
-		w := NewWorld(shardCellConfig(seed, k, false))
-		p, err := w.MeasureShards(shardSweepClients, q.ScaleRounds)
-		w.Close()
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(shardsRow(p))
-	}
-	w := NewWorld(shardCellConfig(seed, 4, true))
-	defer w.Close()
-	res, err := w.MeasureShardKill(shardSweepClients, q.ScaleRounds+1, 1, cacheStressInterval)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(shardKillSection(res))
-	return b.String(), nil
-}
-
 // shardCellConfig builds the sweep's world configuration for k shards.
 // The cache is always on (the tier requires it); resilience rides along
 // on the seizure episode so in-flight visits retry onto survivors.
@@ -308,8 +283,8 @@ func shardCellConfig(seed uint64, k int, resilience bool) Config {
 	}
 }
 
-// shardsPlan re-cells ReportShards for the parallel sweep runner: one
-// world per shard count plus the seizure episode.
+// shardsPlan renders the sharded-tier experiment for the parallel sweep
+// runner: one world per shard count plus the seizure episode.
 func shardsPlan(q Quality) figurePlan {
 	var cells []cell
 	for _, k := range shardSweepCounts {

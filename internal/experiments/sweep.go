@@ -679,8 +679,8 @@ func opsPlan(q Quality) figurePlan {
 	}
 }
 
-// fleetPlan re-cells ReportFleet: one world per (load, remotes) sweep
-// point plus the takedown run. Fleet worlds never quiesce (the prober is a
+// fleetPlan renders the fleet-scalability experiment: one world per
+// (load, remotes) sweep point plus the takedown run. Fleet worlds never quiesce (the prober is a
 // recurring timer), so these cells carry no obs snapshot; the rendered
 // rows themselves are still deterministic, since every measurement
 // happens on the virtual clock.

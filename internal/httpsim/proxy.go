@@ -3,7 +3,6 @@ package httpsim
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -183,14 +182,15 @@ func (p *Proxy) handleAbsolute(conn net.Conn, req *Request) bool {
 
 // Relay copies bytes in both directions until either side closes, then
 // closes both. It returns when the a→b direction ends; the b→a copy
-// finishes on its own goroutine.
+// finishes on its own goroutine. Both directions copy through pooled
+// buffers (netx.Copy), so a long-lived tunnel allocates nothing per byte.
 func Relay(spawn netx.Spawner, a, b net.Conn) {
 	spawn.Go(func() {
-		io.Copy(a, b)
+		netx.Copy(a, b)
 		a.Close()
 		b.Close()
 	})
-	io.Copy(b, a)
+	netx.Copy(b, a)
 	a.Close()
 	b.Close()
 }

@@ -48,6 +48,10 @@ const maxFramePayload = 32 * 1024
 // fails (no flow control; tunnels at this scale never approach it).
 const maxStreamBuffer = 4 << 20
 
+// rxChunks recycles the fixed-size chunks that stream receive buffers
+// are made of, across every session in the process.
+var rxChunks = sync.Pool{New: func() any { return new([maxFramePayload]byte) }}
+
 // Errors.
 var (
 	ErrSessionClosed = errors.New("mux: session closed")
@@ -77,6 +81,11 @@ type Session struct {
 	env  netx.Env
 
 	wmu sync.Mutex // serializes frames onto the carrier
+
+	// wbuf is the scratch each outgoing frame is assembled in, owned by
+	// whoever holds wmu (or the managed write token). Carrier Writes
+	// must not retain the slice they are given.
+	wbuf []byte
 
 	// managedWrites switches frame serialization from wmu to a managed
 	// write token (writing + cond). Set for carriers whose Write blocks
@@ -228,11 +237,12 @@ func (s *Session) writeFrame(typ byte, id uint32, payload []byte) error {
 		s.wmu.Lock()
 		defer s.wmu.Unlock()
 	}
-	hdr := make([]byte, 9, 9+len(payload))
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], id)
-	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	_, err := s.conn.Write(append(hdr, payload...))
+	f := append(s.wbuf[:0], typ)
+	f = binary.BigEndian.AppendUint32(f, id)
+	f = binary.BigEndian.AppendUint32(f, uint32(len(payload)))
+	f = append(f, payload...)
+	s.wbuf = f
+	_, err := s.conn.Write(f)
 	return err
 }
 
@@ -262,6 +272,10 @@ func (s *Session) releaseWriteToken() {
 func (s *Session) readLoop() {
 	defer s.fail(ErrSessionClosed)
 	hdr := make([]byte, 9)
+	// Every payload is read into the same buffer, grown to the largest
+	// frame seen: dispatch copies whatever outlives the frame (stream
+	// data, OPEN metadata) before the next read.
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(s.conn, hdr); err != nil {
 			s.fail(fmt.Errorf("mux: carrier read: %w", err))
@@ -280,7 +294,10 @@ func (s *Session) readLoop() {
 			s.fail(fmt.Errorf("mux: oversized frame (%d bytes)", n))
 			return
 		}
-		payload := make([]byte, n)
+		if int(n) > len(buf) {
+			buf = make([]byte, n)
+		}
+		payload := buf[:n]
 		if _, err := io.ReadFull(s.conn, payload); err != nil {
 			s.fail(fmt.Errorf("mux: carrier read: %w", err))
 			return
@@ -302,7 +319,7 @@ func (s *Session) dispatch(typ byte, id uint32, payload []byte) {
 		s.mu.Lock()
 		st := s.newStreamLocked(id)
 		s.mu.Unlock()
-		meta := payload
+		meta := slices.Clone(payload)
 		s.env.Spawn.Go(func() {
 			upstream, err := s.accept(meta)
 			if err != nil {
@@ -340,12 +357,12 @@ func (s *Session) dispatch(typ byte, id uint32, payload []byte) {
 	case frameData:
 		s.mu.Lock()
 		if st := s.streams[id]; st != nil {
-			if len(st.buf)+len(payload) > maxStreamBuffer {
+			if st.rxLen+len(payload) > maxStreamBuffer {
 				s.mu.Unlock()
 				s.fail(fmt.Errorf("mux: stream %d buffer overflow", id))
 				return
 			}
-			st.buf = append(st.buf, payload...)
+			st.push(payload)
 			st.cond.Broadcast()
 		}
 		s.mu.Unlock()
@@ -465,14 +482,14 @@ func (s *Session) Streams() int {
 }
 
 // relay copies between a granted stream and its upstream until either
-// side finishes.
+// side finishes, through pooled buffers.
 func (s *Session) relay(st *Stream, upstream net.Conn) {
 	s.env.Spawn.Go(func() {
-		io.Copy(st, upstream)
+		netx.Copy(st, upstream)
 		st.Close()
 		upstream.Close()
 	})
-	io.Copy(upstream, st)
+	netx.Copy(upstream, st)
 	upstream.Close()
 	st.Close()
 }
@@ -483,8 +500,14 @@ type Stream struct {
 	id   uint32
 	cond netx.Cond // bound to sess.mu
 
-	opening      bool
-	buf          []byte
+	opening bool
+	// rx holds received data not yet read, in chunks from rxChunks:
+	// reading starts at rx[0][rxOff:], and the last chunk fills up before
+	// another is taken. A chunk goes back to the pool as soon as it has
+	// been read through, so a drained stream holds no data buffer.
+	rx           [][]byte
+	rxOff        int
+	rxLen        int // unread bytes across rx
 	err          error
 	localClosed  bool
 	remoteClosed bool
@@ -501,13 +524,8 @@ func (st *Stream) Read(b []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(st.buf) > 0 {
-			n := copy(b, st.buf)
-			st.buf = st.buf[n:]
-			if len(st.buf) == 0 {
-				st.buf = nil
-			}
-			return n, nil
+		if st.rxLen > 0 {
+			return st.pull(b), nil
 		}
 		if st.err != nil {
 			return 0, st.err
@@ -523,6 +541,46 @@ func (st *Stream) Read(b []byte) (int, error) {
 		}
 		st.cond.Wait()
 	}
+}
+
+// push appends received data to the stream's buffer. Called with
+// sess.mu held.
+func (st *Stream) push(p []byte) {
+	st.rxLen += len(p)
+	for len(p) > 0 {
+		last := len(st.rx) - 1
+		if last < 0 || len(st.rx[last]) == maxFramePayload {
+			st.rx = append(st.rx, rxChunks.Get().(*[maxFramePayload]byte)[:0])
+			last++
+		}
+		c := st.rx[last]
+		n := copy(c[len(c):maxFramePayload], p)
+		st.rx[last] = c[:len(c)+n]
+		p = p[n:]
+	}
+}
+
+// pull moves buffered data into b, returning chunks it reads through to
+// the pool. Like a copy from one contiguous buffer, it fills b or takes
+// everything buffered, whichever is less. Called with sess.mu held.
+func (st *Stream) pull(b []byte) int {
+	n := 0
+	for n < len(b) && len(st.rx) > 0 {
+		c := st.rx[0]
+		k := copy(b[n:], c[st.rxOff:])
+		n += k
+		st.rxOff += k
+		if st.rxOff < len(c) {
+			break
+		}
+		rxChunks.Put((*[maxFramePayload]byte)(c[:maxFramePayload]))
+		last := copy(st.rx, st.rx[1:])
+		st.rx[last] = nil // the pool owns the chunk now
+		st.rx = st.rx[:last]
+		st.rxOff = 0
+	}
+	st.rxLen -= n
+	return n
 }
 
 // Write implements net.Conn.

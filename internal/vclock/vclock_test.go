@@ -45,14 +45,18 @@ func TestEventsRunInTimestampOrder(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []int
-	for i, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
-		i, d := i, d
-		s.Event(d, func() {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		})
-	}
+	// Schedule from a managed goroutine: from the unmanaged test
+	// goroutine the driver could fire the 30 ms event before the others
+	// exist.
+	s.Go(func() {
+		for i, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
+			s.Event(d, func() {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+			})
+		}
+	})
 	s.Wait()
 	mu.Lock()
 	defer mu.Unlock()
@@ -113,16 +117,21 @@ func TestTimerStopPreventsCallback(t *testing.T) {
 	defer s.Stop()
 
 	var fired atomic.Bool
-	tm := s.AfterFunc(10*time.Millisecond, func() { fired.Store(true) })
-	if !tm.Stop() {
+	var first, second bool
+	// Managed, so virtual time cannot reach the timer before Stop.
+	s.Go(func() {
+		tm := s.AfterFunc(10*time.Millisecond, func() { fired.Store(true) })
+		first, second = tm.Stop(), tm.Stop()
+		// Later event to force time past the cancelled one.
+		s.Event(20*time.Millisecond, func() {})
+	})
+	s.Wait()
+	if !first {
 		t.Fatal("Stop returned false on pending timer")
 	}
-	if tm.Stop() {
+	if second {
 		t.Fatal("second Stop returned true")
 	}
-	// Later event to force time past the cancelled one.
-	s.Event(20*time.Millisecond, func() {})
-	s.Wait()
 	if fired.Load() {
 		t.Fatal("cancelled timer fired")
 	}
@@ -363,10 +372,13 @@ func TestWheelOverflowOrdering(t *testing.T) {
 	mu := make(chan struct{}, 1)
 	mu <- struct{}{}
 	add := func(i int) { <-mu; order = append(order, i); mu <- struct{}{} }
-	s.Event(10*time.Second, func() { add(2) }) // far beyond the horizon
-	s.Event(time.Millisecond, func() { add(0) })
-	s.Event(5*time.Second, func() { add(1) }) // just past the horizon
-	s.Event(10*time.Second, func() { add(3) })
+	// Managed, so the clock cannot advance between the four schedules.
+	s.Go(func() {
+		s.Event(10*time.Second, func() { add(2) }) // far beyond the horizon
+		s.Event(time.Millisecond, func() { add(0) })
+		s.Event(5*time.Second, func() { add(1) }) // just past the horizon
+		s.Event(10*time.Second, func() { add(3) })
+	})
 	s.Wait()
 	if len(order) != 4 || order[0] != 0 || order[1] != 1 || order[2] != 2 || order[3] != 3 {
 		t.Fatalf("order = %v, want [0 1 2 3]", order)
@@ -384,9 +396,12 @@ func TestStopCancelledEventInDrainedBatch(t *testing.T) {
 	defer s.Stop()
 
 	var ran bool
-	var victim *Timer
-	s.Event(time.Millisecond, func() { victim.Stop() })
-	victim = s.Event(time.Millisecond, func() { ran = true })
+	// Managed, so neither event can fire before victim is assigned.
+	s.Go(func() {
+		var victim *Timer
+		s.Event(time.Millisecond, func() { victim.Stop() })
+		victim = s.Event(time.Millisecond, func() { ran = true })
+	})
 	s.Wait()
 	if ran {
 		t.Fatal("cancelled same-instant event still ran")
